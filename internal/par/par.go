@@ -3,10 +3,17 @@
 // goroutines. Callers keep per-shard writes disjoint and fold shard results
 // with index tie-breaks, so every pipeline result is bit-identical to a
 // serial run at any worker count.
+//
+// A panic inside a worker never escapes its goroutine: every helper
+// recovers it, joins the remaining workers, and re-panics on the caller's
+// goroutine with a *Panic, so the caller's own recover (the facade's
+// InternalError boundary) sees it exactly as it would a serial panic.
 package par
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -18,6 +25,22 @@ func Workers(p int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return p
+}
+
+// Panic is the value Do, DoItems, DoErr and DoItemsErr re-panic with on the
+// caller's goroutine when a worker panicked. When several workers panic, the
+// one at the smallest chunk start or item index wins, so the choice is
+// deterministic. A panic that is already a *Panic (a nested helper's) passes
+// through unwrapped.
+type Panic struct {
+	// Value is the worker's original panic value.
+	Value any
+	// Stack is the panicking worker goroutine's stack trace.
+	Stack []byte
+}
+
+func (p *Panic) Error() string {
+	return fmt.Sprintf("%v\n\nworker goroutine stack:\n%s", p.Value, p.Stack)
 }
 
 // Do splits [0, n) into one contiguous chunk per worker and runs fn(lo, hi)
@@ -36,6 +59,7 @@ func Do(workers, n int, fn func(lo, hi int)) {
 		return
 	}
 	chunk := (n + workers - 1) / workers
+	var col collector
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
@@ -45,16 +69,23 @@ func Do(workers, n int, fn func(lo, hi int)) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					col.reportPanic(lo, r)
+				}
+			}()
 			fn(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
+	col.rethrow()
 }
 
 // DoItems runs fn(i) for every i in [0, n), handing indexes to workers
 // dynamically through an atomic counter. Use for loops with uneven per-index
 // cost (e.g. triangular distance-matrix rows, where early rows hold more
 // pairs than late ones). With one worker it runs inline in index order.
+// After a worker panics, the others stop claiming fresh indexes.
 func DoItems(workers, n int, fn func(i int)) {
 	workers = Workers(workers)
 	if workers > n {
@@ -67,14 +98,22 @@ func DoItems(workers, n int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	var stop atomic.Bool
+	var col collector
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+			i := -1
+			defer func() {
+				if r := recover(); r != nil {
+					col.reportPanic(i, r)
+					stop.Store(true)
+				}
+			}()
+			for !stop.Load() {
+				if i = int(next.Add(1)) - 1; i >= n {
 					return
 				}
 				fn(i)
@@ -82,22 +121,48 @@ func DoItems(workers, n int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	col.rethrow()
 }
 
-// errCollector folds worker errors deterministically: the error produced at
-// the smallest index wins, no matter which worker reports first.
-type errCollector struct {
-	mu  sync.Mutex
-	idx int
-	err error
+// collector folds worker errors and panics deterministically: the one
+// produced at the smallest index wins, no matter which worker reports first.
+type collector struct {
+	mu     sync.Mutex
+	errIdx int
+	err    error
+	pIdx   int
+	p      *Panic
 }
 
-func (c *errCollector) report(i int, err error) {
+func (c *collector) report(i int, err error) {
 	c.mu.Lock()
-	if c.err == nil || i < c.idx {
-		c.idx, c.err = i, err
+	if c.err == nil || i < c.errIdx {
+		c.errIdx, c.err = i, err
 	}
 	c.mu.Unlock()
+}
+
+// reportPanic records a recovered worker panic with the worker's stack. It
+// runs inside the worker's deferred recover, so debug.Stack still shows the
+// panicking frames.
+func (c *collector) reportPanic(i int, r any) {
+	p, ok := r.(*Panic)
+	if !ok {
+		p = &Panic{Value: r, Stack: debug.Stack()}
+	}
+	c.mu.Lock()
+	if c.p == nil || i < c.pIdx {
+		c.pIdx, c.p = i, p
+	}
+	c.mu.Unlock()
+}
+
+// rethrow re-panics on the caller's goroutine with the winning worker panic,
+// if any. Called only after every worker has been joined.
+func (c *collector) rethrow() {
+	if c.p != nil {
+		panic(c.p)
+	}
 }
 
 // DoErr is Do with error propagation: chunks run concurrently, and the first
@@ -105,7 +170,8 @@ func (c *errCollector) report(i int, err error) {
 // Chunks that already started still run to completion — fn is responsible for
 // its own early exit (typically by consulting the same cancellation check
 // that made a sibling fail) — and every worker is joined before DoErr
-// returns, so cancellation never leaks goroutines.
+// returns, so cancellation never leaks goroutines. A worker panic outranks
+// every error.
 func DoErr(workers, n int, fn func(lo, hi int) error) error {
 	workers = Workers(workers)
 	if workers > n {
@@ -118,7 +184,7 @@ func DoErr(workers, n int, fn func(lo, hi int) error) error {
 		return nil
 	}
 	chunk := (n + workers - 1) / workers
-	var col errCollector
+	var col collector
 	var wg sync.WaitGroup
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
@@ -128,12 +194,18 @@ func DoErr(workers, n int, fn func(lo, hi int) error) error {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					col.reportPanic(lo, r)
+				}
+			}()
 			if err := fn(lo, hi); err != nil {
 				col.report(lo, err)
 			}
 		}(lo, hi)
 	}
 	wg.Wait()
+	col.rethrow()
 	return col.err
 }
 
@@ -141,7 +213,8 @@ func DoErr(workers, n int, fn func(lo, hi int) error) error {
 // fails, workers stop claiming new indexes, drain, and the error produced at
 // the smallest index is returned. All workers are joined before return — a
 // cancelled run leaves no goroutines behind. With one worker it runs inline
-// in index order and stops at the first error.
+// in index order and stops at the first error. A worker panic stops claiming
+// the same way and outranks every error.
 func DoItemsErr(workers, n int, fn func(i int) error) error {
 	workers = Workers(workers)
 	if workers > n {
@@ -157,15 +230,21 @@ func DoItemsErr(workers, n int, fn func(i int) error) error {
 	}
 	var next atomic.Int64
 	var stop atomic.Bool
-	var col errCollector
+	var col collector
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			i := -1
+			defer func() {
+				if r := recover(); r != nil {
+					col.reportPanic(i, r)
+					stop.Store(true)
+				}
+			}()
 			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				if i = int(next.Add(1)) - 1; i >= n {
 					return
 				}
 				if err := fn(i); err != nil {
@@ -177,5 +256,6 @@ func DoItemsErr(workers, n int, fn func(i int) error) error {
 		}()
 	}
 	wg.Wait()
+	col.rethrow()
 	return col.err
 }

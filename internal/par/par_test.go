@@ -3,6 +3,7 @@ package par
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -143,5 +144,112 @@ func TestErrVariantsLeaveNoGoroutines(t *testing.T) {
 	// back at (or below) the baseline immediately.
 	if got := runtime.NumGoroutine(); got > base+2 {
 		t.Fatalf("goroutines grew from %d to %d after failed runs", base, got)
+	}
+}
+
+// panicAt panics with its index when the index is in the set; a named frame
+// so the tests can find it in the captured worker stack.
+func panicAt(i int, set map[int]bool) {
+	if set[i] {
+		panic(i)
+	}
+}
+
+// recovered runs fn and returns the panic it raised on the calling
+// goroutine, unwrapped from *Panic, plus the worker stack when wrapped.
+func recovered(fn func()) (val any, stack []byte) {
+	defer func() {
+		r := recover()
+		if p, ok := r.(*Panic); ok {
+			val, stack = p.Value, p.Stack
+			return
+		}
+		val = r
+	}()
+	fn()
+	return nil, nil
+}
+
+func TestWorkerPanicSurfacesOnCaller(t *testing.T) {
+	set := map[int]bool{30: true, 50: true, 63: true}
+	helpers := map[string]func(workers int){
+		"Do": func(w int) {
+			Do(w, 64, func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					panicAt(i, set)
+				}
+			})
+		},
+		"DoItems": func(w int) { DoItems(w, 64, func(i int) { panicAt(i, set) }) },
+		"DoErr": func(w int) {
+			DoErr(w, 64, func(lo, hi int) error {
+				for i := lo; i < hi; i++ {
+					panicAt(i, set)
+				}
+				return nil
+			})
+		},
+		"DoItemsErr": func(w int) {
+			DoItemsErr(w, 64, func(i int) error { panicAt(i, set); return nil })
+		},
+	}
+	base := runtime.NumGoroutine()
+	for name, run := range helpers {
+		for _, workers := range []int{1, 2, 4, 8} {
+			for rep := 0; rep < 10; rep++ {
+				val, stack := recovered(func() { run(workers) })
+				// Chunk starts and item indexes both order the panics so the
+				// one raised at item 30 always wins.
+				if val != 30 {
+					t.Fatalf("%s workers=%d: recovered %v, want the panic at index 30", name, workers, val)
+				}
+				if workers > 1 && !strings.Contains(string(stack), "par.panicAt") {
+					t.Fatalf("%s workers=%d: worker stack lacks the panicking frame:\n%s", name, workers, stack)
+				}
+			}
+		}
+	}
+	// Every worker is joined before the re-panic.
+	if got := runtime.NumGoroutine(); got > base+2 {
+		t.Fatalf("goroutines grew from %d to %d after panicking runs", base, got)
+	}
+}
+
+func TestWorkerPanicOutranksError(t *testing.T) {
+	val, _ := recovered(func() {
+		DoItemsErr(4, 64, func(i int) error {
+			if i == 0 {
+				return fmt.Errorf("boom")
+			}
+			panicAt(i, map[int]bool{40: true})
+			return nil
+		})
+	})
+	// The error at 0 stops claiming, so the panic at 40 may never run; when
+	// it does, it must surface rather than be swallowed.
+	if val != nil && val != 40 {
+		t.Fatalf("recovered %v", val)
+	}
+	val, _ = recovered(func() {
+		DoErr(4, 64, func(lo, hi int) error {
+			if lo == 0 {
+				return fmt.Errorf("boom")
+			}
+			panic(lo)
+		})
+	})
+	if val != 16 {
+		t.Fatalf("DoErr: recovered %v, want the panic of chunk 16", val)
+	}
+}
+
+func TestNestedWorkerPanicNotRewrapped(t *testing.T) {
+	val, _ := recovered(func() {
+		Do(2, 2, func(lo, hi int) {
+			DoItems(2, 8, func(i int) { panicAt(i, map[int]bool{3: true}) })
+		})
+	})
+	if val != 3 {
+		t.Fatalf("recovered %v (%T), want the inner panic value 3", val, val)
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"schemex"
+	"schemex/internal/dbg"
 )
 
 func buildSample(t *testing.T) *schemex.Graph {
@@ -148,5 +150,70 @@ func TestInternalErrorRecovery(t *testing.T) {
 	}
 	if _, err := schemex.SweepAnalysisContext(context.Background(), &g, schemex.Options{}); !errors.As(err, &ie) {
 		t.Fatalf("SweepAnalysisContext: got %v, want *InternalError", err)
+	}
+}
+
+// panickyCtx is a live context whose Err panics from its (after+1)th call
+// on: the pipeline's cancellation checkpoints run inside parallel workers,
+// so the panic fires on whichever goroutine polls it.
+type panickyCtx struct {
+	context.Context
+	done  chan struct{}
+	after int64
+	calls atomic.Int64
+}
+
+func (c *panickyCtx) Done() <-chan struct{} { return c.done }
+
+func (c *panickyCtx) Err() error {
+	if c.calls.Add(1) > c.after {
+		panic("context Err exploded")
+	}
+	return nil
+}
+
+// TestWorkerPanicIsInternalError: a panic raised inside a parallel worker
+// goroutine reaches the facade boundary as *InternalError instead of
+// killing the process.
+func TestWorkerPanicIsInternalError(t *testing.T) {
+	db, _ := dbg.Generate(dbg.Options{})
+	var buf strings.Builder
+	if err := db.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	g, err := schemex.ReadGraph(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inWorker := false
+	for _, after := range []int64{0, 1, 2, 3, 5, 8, 13, 21, 50, 100, 300} {
+		runs := map[string]func(ctx context.Context) error{
+			"ExtractContext": func(ctx context.Context) error {
+				_, err := schemex.ExtractContext(ctx, g, schemex.Options{K: 6, Parallelism: 4})
+				return err
+			},
+			"PrepareOptions": func(ctx context.Context) error {
+				_, err := schemex.PrepareOptions(ctx, g, schemex.Options{Parallelism: 4})
+				return err
+			},
+		}
+		for name, run := range runs {
+			ctx := &panickyCtx{Context: context.Background(), done: make(chan struct{}), after: after}
+			err := run(ctx)
+			if err == nil && ctx.calls.Load() <= after {
+				continue // finished before the fuse blew
+			}
+			var ie *schemex.InternalError
+			if !errors.As(err, &ie) {
+				t.Fatalf("%s after=%d: got %v, want *InternalError", name, after, err)
+			}
+			if ie.Value != "context Err exploded" {
+				t.Fatalf("%s after=%d: InternalError value %v", name, after, ie.Value)
+			}
+			inWorker = inWorker || strings.Contains(string(ie.Stack), "internal/par.")
+		}
+	}
+	if !inWorker {
+		t.Fatal("no panic was raised inside a parallel worker; the test lost its coverage")
 	}
 }
