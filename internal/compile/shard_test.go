@@ -90,15 +90,11 @@ func checkShardInvariants(t *testing.T, s *Snapshot) {
 		if sh.PosN != nComplex {
 			t.Fatalf("shard %d: PosN = %d, want %d", si, sh.PosN, nComplex)
 		}
-		// Faulted shards carry owned, value-equal views (checked above); only
-		// fully resident snapshots alias the global tables directly.
-		if s.res == nil {
-			if sh.N > 0 && &sh.Pos[0] != &s.Pos[sh.Base] {
-				t.Fatalf("shard %d: Pos view is a copy, not an alias", si)
-			}
-			if sh.PosN > 0 && &sh.Complex[0] != &s.Complex[sh.PosBase] {
-				t.Fatalf("shard %d: Complex view is a copy, not an alias", si)
-			}
+		if sh.N > 0 && &sh.Pos[0] != &s.Pos[sh.Base] {
+			t.Fatalf("shard %d: Pos view is a copy, not an alias", si)
+		}
+		if sh.PosN > 0 && &sh.Complex[0] != &s.Complex[sh.PosBase] {
+			t.Fatalf("shard %d: Complex view is a copy, not an alias", si)
 		}
 		base += sh.N
 		posBase += sh.PosN
@@ -127,14 +123,9 @@ func TestShardsEnvOverride(t *testing.T) {
 	}
 }
 
-// sharedShard reports whether got's shard si is structurally shared with
-// parent's: pointer-identical for fully resident snapshots, the same
-// spillable ref under a residency manager (where the resident copy comes and
-// goes but one file backs the lineage).
+// sharedShard reports whether got's shard si is pointer-identical to
+// parent's.
 func sharedShard(got, parent *Snapshot, si int) bool {
-	if got.res != nil {
-		return got.refs[si] != nil && got.refs[si] == parent.refs[si]
-	}
 	return got.Shard(si) == parent.Shard(si)
 }
 
@@ -210,14 +201,6 @@ func TestShardBoundaryGrowth(t *testing.T) {
 		t.Fatalf("NumShards = %d, want %d", got.NumShards(), want)
 	}
 	for _, si := range []int{0, 1, 2} {
-		if got.res != nil {
-			// Under a residency manager clean shards share the parent's ref
-			// outright — no reslice, owned value-equal views on fault.
-			if !sharedShard(got, parent, si) {
-				t.Fatalf("shard %d: not sharing the parent's ref", si)
-			}
-			continue
-		}
 		g, p := got.Shard(si), parent.Shard(si)
 		if g == p {
 			t.Fatalf("shard %d: pointer-aliased despite new global tables", si)

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,12 +91,6 @@ type Options struct {
 	// Limits bounds the resources an extraction may consume. Violations
 	// surface as *graph.LimitError. The zero value imposes no caps.
 	Limits Limits
-	// MemBudget bounds the bytes of compiled shard data held resident at
-	// once: shards past the budget spill to disk through the shard codec and
-	// fault back in on access (LRU). 0 means fully resident (or the
-	// SCHEMEX_TEST_MEM_BUDGET override). Purely a paging knob — results are
-	// bit-identical at any budget; pinned phases may transiently overcommit.
-	MemBudget int64
 }
 
 // Limits bounds the resources an extraction run may consume. Each cap is
@@ -501,15 +494,7 @@ func Prepare(db *graph.DB) (*Prepared, error) {
 // worker bound for the compilation (<= 0 means one per CPU), and a shard
 // count for the snapshot layout (see Options.Shards; 0 means automatic).
 func PrepareContext(ctx context.Context, db *graph.DB, parallelism, shards int) (*Prepared, error) {
-	return PrepareBudget(ctx, db, parallelism, shards, 0)
-}
-
-// PrepareBudget is PrepareContext with a resident-shard memory budget in
-// bytes (see Options.MemBudget; 0 means fully resident). Snapshots derived
-// from the result through Apply inherit the budget — one LRU serves the
-// whole session lineage.
-func PrepareBudget(ctx context.Context, db *graph.DB, parallelism, shards int, memBudget int64) (*Prepared, error) {
-	snap, err := compile.CompileBudget(db, shards, par.Workers(parallelism), memBudget, checkFunc(ctx))
+	snap, err := compile.CompileShardsCheck(db, shards, par.Workers(parallelism), checkFunc(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -518,18 +503,17 @@ func PrepareBudget(ctx context.Context, db *graph.DB, parallelism, shards int, m
 
 // PrepareSpilledContext reconstructs a Prepared from a shard-granular spill:
 // an EncodeCore blob plus one EncodeShard file per shard (in shard order).
-// No shard file is read here — each faults in, checksum-verified, on first
-// access — so rehydrating a durable session costs the core blob plus only
-// the shards the next request touches. db must be the database the spilled
-// snapshot was compiled from (the serving layer persists the graph text
-// beside the shard files).
-func PrepareSpilledContext(ctx context.Context, db *graph.DB, core []byte, shardFiles []string, memBudget int64) (*Prepared, error) {
+// Every shard file is read and checksum-verified here (compile.LoadSnapshot),
+// so an unusable spill fails now, never mid-extraction. db must be the
+// database the spilled snapshot was compiled from (the serving layer
+// persists the graph text beside the shard files).
+func PrepareSpilledContext(ctx context.Context, db *graph.DB, core []byte, shardFiles []string) (*Prepared, error) {
 	if check := checkFunc(ctx); check != nil {
 		if err := check(); err != nil {
 			return nil, err
 		}
 	}
-	snap, err := compile.LoadSnapshot(db, core, shardFiles, memBudget)
+	snap, err := compile.LoadSnapshot(db, core, shardFiles)
 	if err != nil {
 		return nil, err
 	}
@@ -542,7 +526,7 @@ func PrepareSpilledContext(ctx context.Context, db *graph.DB, core []byte, shard
 func (p *Prepared) EncodeSnapshotCore() []byte { return p.snap.EncodeCore() }
 
 // EncodeShard serializes shard si of the prepared snapshot in the versioned
-// checksummed shard format, faulting it in if it is not resident.
+// checksummed shard format.
 func (p *Prepared) EncodeShard(si int) []byte { return p.snap.ShardBytes(si) }
 
 // NumShards reports how many fixed-range object shards the prepared
@@ -550,63 +534,6 @@ func (p *Prepared) EncodeShard(si int) []byte { return p.snap.ShardBytes(si) }
 // layout, so the count is stable across a session (it grows only when new
 // objects spill past the last shard's range).
 func (p *Prepared) NumShards() int { return p.snap.NumShards() }
-
-// DeltaShards maps a delta's object footprint onto the prepared snapshot's
-// shards: the ascending list of shard indexes holding an object the delta
-// references (RemoveObject ops are widened with the object's neighbours,
-// whose edge lists a detach rewrites). exclusive=true means the footprint
-// cannot be confined — the delta names an object unknown to this state, and
-// interning appends IDs at the top of the space, possibly growing new
-// shards.
-//
-// The footprint is advisory, for lock admission in serving layers:
-// correctness never rests on it, because Apply is copy-on-write and a
-// serving head swap always revalidates the parent it branched from. An
-// over-wide footprint only costs concurrency; DeltaShards never returns an
-// under-wide one for the state it was asked about.
-func (p *Prepared) DeltaShards(d *graph.Delta) (shards []int, exclusive bool) {
-	snap := p.snap
-	seen := make(map[int]struct{}, 4)
-	touch := func(o graph.ObjectID) {
-		seen[snap.ShardOf(o)] = struct{}{}
-	}
-	d.ForEachName(func(name string) {
-		if exclusive {
-			return
-		}
-		id := p.db.Lookup(name)
-		if id == graph.NoObject {
-			exclusive = true
-			return
-		}
-		touch(id)
-	})
-	if !exclusive {
-		d.ForEachRemovedObject(func(name string) {
-			id := p.db.Lookup(name)
-			if id == graph.NoObject {
-				return // already forced exclusive by ForEachName
-			}
-			to, _ := snap.Out(id)
-			for _, t := range to {
-				touch(graph.ObjectID(t))
-			}
-			from, _ := snap.In(id)
-			for _, f := range from {
-				touch(graph.ObjectID(f))
-			}
-		})
-	}
-	if exclusive {
-		return nil, true
-	}
-	shards = make([]int, 0, len(seen))
-	for si := range seen {
-		shards = append(shards, si)
-	}
-	sort.Ints(shards)
-	return shards, false
-}
 
 // Stats returns the incremental-extraction counters accumulated across this
 // Prepared's whole session lineage (the root and every descendant derived
@@ -794,7 +721,7 @@ func ExtractContext(ctx context.Context, db *graph.DB, opts Options) (*Result, e
 	if err := opts.Limits.checkGraph(db); err != nil {
 		return nil, err
 	}
-	prep, err := PrepareBudget(ctx, db, opts.Parallelism, opts.Shards, opts.MemBudget)
+	prep, err := PrepareContext(ctx, db, opts.Parallelism, opts.Shards)
 	if err != nil {
 		return nil, wrapWall(err)
 	}
@@ -1242,7 +1169,7 @@ func SweepContext(ctx context.Context, db *graph.DB, opts Options) (*SweepResult
 	if err := opts.Limits.checkGraph(db); err != nil {
 		return nil, err
 	}
-	prep, err := PrepareBudget(ctx, db, opts.Parallelism, opts.Shards, opts.MemBudget)
+	prep, err := PrepareContext(ctx, db, opts.Parallelism, opts.Shards)
 	if err != nil {
 		return nil, wrapWall(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"schemex/internal/compile"
 	"schemex/internal/graph"
 	"schemex/internal/synth"
 )
@@ -182,15 +183,15 @@ func TestApplyStreamShardDeterminism(t *testing.T) {
 		}
 		sawFallback, sawMultiShard := false, false
 		for h, d := range deltas {
-			if sh, excl := cur.DeltaShards(d); excl || len(sh) > 1 {
-				sawMultiShard = true
-			}
 			next, info, err := cur.ApplyContext(ctx, d, cfg.par)
 			if err != nil {
 				t.Fatalf("shards=%d p=%d hop %d: %v", cfg.shards, cfg.par, h, err)
 			}
 			if !info.Shared {
 				sawFallback = true
+			}
+			if touchedShards(next.Snapshot(), info.Touched) > 1 {
+				sawMultiShard = true
 			}
 			cur = next
 			res, err := ExtractPreparedContext(ctx, cur, Options{K: 5, Parallelism: cfg.par})
@@ -214,4 +215,14 @@ func TestApplyStreamShardDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// touchedShards counts the distinct shards of snap holding a touched object:
+// a delta's footprint over the shard ranges it was applied into.
+func touchedShards(snap *compile.Snapshot, touched []graph.ObjectID) int {
+	seen := map[int]bool{}
+	for _, o := range touched {
+		seen[snap.ShardOf(o)] = true
+	}
+	return len(seen)
 }

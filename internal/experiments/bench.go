@@ -389,56 +389,6 @@ func RunBench() (*BenchReport, error) {
 		}
 	}
 
-	// Out-of-core serving: the warm apply + re-extract round trip on the
-	// same 11k-object graph, fully resident vs. under a memory budget that
-	// keeps roughly two of the auto layout's shards resident (shards page
-	// through spill files; phase pins hold the typing working set). The
-	// resident result is the baseline the budgeted one is read against.
-	{
-		dbgX16, _ := dbg.Generate(dbg.Options{Scale: 16})
-		realDelta := benchDelta(dbgX16, 0)
-		probe, err := core.PrepareContext(context.Background(), dbgX16, 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		var budget int64
-		for si := 0; si < probe.NumShards(); si++ {
-			if n := int64(len(probe.EncodeShard(si))); n > budget {
-				budget = n
-			}
-		}
-		budget *= 2
-		for _, bc := range []struct {
-			name      string
-			memBudget int64
-		}{{"resident", 0}, {"2shard", budget}} {
-			prep, err := core.PrepareBudget(context.Background(), dbgX16, 0, 0, bc.memBudget)
-			if err != nil {
-				return nil, err
-			}
-			if realDelta == nil {
-				break
-			}
-			opts := core.Options{K: 6, MemBudget: bc.memBudget}
-			if _, err := core.ExtractPrepared(prep, opts); err != nil {
-				return nil, err
-			}
-			measure(fmt.Sprintf("outofcore/warm-extract-%s/dbg-x16", bc.name), func(workers int, b *testing.B) {
-				o := opts
-				o.Parallelism = workers
-				for i := 0; i < b.N; i++ {
-					child, _, err := prep.ApplyContext(context.Background(), realDelta, workers)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := core.ExtractPrepared(child, o); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-
 	// Batched write pipeline: an async burst against one durable HTTP delta
 	// session (always-fsync WAL), accepted first and then committed by the
 	// session's drainer, per-request (BatchMax 1 — the pre-queue pipeline, one

@@ -15,8 +15,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"schemex"
 )
 
 // metricInt returns the named expvar Int, registering it on first use. A
@@ -65,20 +63,7 @@ var (
 	metricQueueShed = metricInt("schemex_queue_shed")
 )
 
-// Shard residency counters (Config.MemBudget): read live from the library's
-// process-wide counters so they need no per-handler plumbing. Faults are
-// shards decoded back in from spill files, evictions shards dropped to meet
-// a budget, pins the phases that held their working set resident.
 func init() {
-	metricFunc("schemex_shard_faults", func() interface{} {
-		return schemex.ReadResidencyStats().ShardFaults
-	})
-	metricFunc("schemex_shard_evictions", func() interface{} {
-		return schemex.ReadResidencyStats().ShardEvictions
-	})
-	metricFunc("schemex_shard_pins", func() interface{} {
-		return schemex.ReadResidencyStats().ShardPins
-	})
 	// Per-endpoint request percentiles and write-pipeline gauges, computed on
 	// demand from the process-wide rings below.
 	metricFunc("schemex_http", httpMetricsValue)

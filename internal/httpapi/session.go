@@ -18,39 +18,29 @@ import (
 	"schemex/internal/wal"
 )
 
-// session is one server-side delta session. mu serializes mutations — Apply
-// itself is non-destructive, but two concurrent mutates must not both branch
-// from the same parent and silently drop one of the edits.
+// session is one server-side delta session. Mutations reach it only through
+// its mutation queue's single drainer (queue.go), which is therefore the
+// only writer of prep; mu guards prep against concurrent readers and
+// serializes the drainer's WAL append and head swap with eviction.
 type session struct {
 	id string
 
 	mu   sync.Mutex
 	prep *schemex.Prepared
 
-	// locks admits concurrent mutations whose delta footprints land on
-	// disjoint snapshot shards (see shardlock.go). mu still serializes the
-	// head swap and the WAL append; the stripes only bound how much Apply
-	// work can run in parallel against one session.
-	locks shardLocks
-
 	// Durable state; zero for in-memory sessions (Config.DataDir unset).
 	// dir is the session directory, log the open write-ahead log, snapFile/
 	// coreFile/shardFiles/logFile the current manifest generation's file
 	// names, and sinceSpill the deltas logged since the last snapshot spill.
-	// pinned names shard/core files a recovery adopted into the live
-	// compiled snapshot: non-resident shard refs may fault from them at any
-	// time, so generation rotation must never delete them while this session
-	// object lives (DELETE removes the whole directory only after the
-	// session is closed). evicted marks a session the LRU flushed out (or
-	// DELETE removed): requests that still hold the pointer see a consistent
-	// "unknown session" instead of appending to a closed log.
+	// evicted marks a session the LRU flushed out (or DELETE removed):
+	// requests that still hold the pointer see a consistent "unknown
+	// session" instead of appending to a closed log.
 	dir        string
 	log        *wal.Log
 	snapFile   string
 	coreFile   string
 	shardFiles []string
 	logFile    string
-	pinned     map[string]bool
 	sinceSpill int
 	evicted    bool
 }
@@ -256,7 +246,7 @@ func (a *api) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	prep, err := schemex.PrepareOptions(r.Context(), g, schemex.Options{MemBudget: a.memBudget})
+	prep, err := schemex.PrepareContext(r.Context(), g)
 	if err != nil {
 		writeError(w, extractStatus(err), err)
 		return

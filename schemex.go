@@ -220,14 +220,6 @@ type Options struct {
 	// <= 0 uses the default (0.25). Purely a performance knob — results are
 	// bit-identical on either path.
 	MaxDirtyTypesFrac float64
-	// MemBudget bounds the bytes of compiled shard data held resident in
-	// memory at once: shards past the budget spill to disk through a
-	// checksummed per-shard codec and fault back in on access (LRU, shared
-	// across a session's whole Apply lineage). 0 (the default) keeps
-	// snapshots fully resident. Results are bit-identical at any budget, so
-	// this is purely a resource knob; phases that pin their working set (the
-	// typing fixpoint's shard-parallel rounds) may transiently overcommit.
-	MemBudget int64
 }
 
 func (o Options) toCore() (core.Options, error) {
@@ -243,7 +235,6 @@ func (o Options) toCore() (core.Options, error) {
 		Limits:            o.Limits.pipeline(),
 		MaxAffectedFrac:   o.MaxAffectedFrac,
 		MaxDirtyTypesFrac: o.MaxDirtyTypesFrac,
-		MemBudget:         o.MemBudget,
 	}
 	if co.MaxDirtyTypesFrac < 0 {
 		co.MaxDirtyTypesFrac = 0

@@ -11,7 +11,6 @@ import (
 	"context"
 	"io"
 
-	"schemex/internal/compile"
 	"schemex/internal/core"
 	"schemex/internal/graph"
 )
@@ -173,18 +172,6 @@ func (p *Prepared) Version() uint64 { return p.prep.Version() }
 // derived through Apply inherit the layout.
 func (p *Prepared) NumShards() int { return p.prep.NumShards() }
 
-// DeltaShards maps a delta's object footprint onto the snapshot's shards:
-// the ascending shard indexes holding an object the delta references
-// (RemoveObject footprints include the object's neighbours). exclusive=true
-// means the footprint cannot be confined — the delta names an object this
-// state does not know, so applying it may touch the top of the ID space and
-// grow new shards. Serving layers use the footprint to admit concurrent
-// mutations under per-shard locks; it is advisory, and Apply itself never
-// depends on it.
-func (p *Prepared) DeltaShards(d *Delta) (shards []int, exclusive bool) {
-	return p.prep.DeltaShards(&d.d)
-}
-
 // SetBaseVersion rebases the session version counter, the hook durable
 // recovery uses: a snapshot spilled at version V is re-prepared (version 0),
 // rebased to V, and the write-ahead log's suffix is replayed on top so the
@@ -224,43 +211,25 @@ func (p *Prepared) IncrStats() IncrStats {
 // shard CSR blocks — label universe, global tables, degree histograms, shard
 // geometry — in a versioned checksummed format. Together with one
 // EncodeShard blob per shard it is a complete shard-granular spill of the
-// snapshot; PrepareSpilled reads it back, loading shards lazily.
+// snapshot; PrepareSpilled reads it back.
 func (p *Prepared) EncodeSnapshotCore() []byte { return p.prep.EncodeSnapshotCore() }
 
 // EncodeShard serializes shard si of the session's compiled snapshot in the
-// versioned checksummed shard format (faulting it in if it is spilled).
+// versioned checksummed shard format.
 func (p *Prepared) EncodeShard(si int) []byte { return p.prep.EncodeShard(si) }
 
 // PrepareSpilled reconstructs a session from a shard-granular spill: the
 // EncodeSnapshotCore blob and one file per shard holding that shard's
-// EncodeShard bytes, in shard order. Shard files are not read here — each
-// faults in, checksum-verified, on first access — so rehydration costs the
-// core blob plus only the shards the next request touches. g must hold the
-// same graph the spilled snapshot was compiled from; opts contributes
-// MemBudget (corrupt or missing shard files surface as *InternalError at
-// access time, or as an immediate error here for a malformed core).
-func PrepareSpilled(ctx context.Context, g *Graph, snapCore []byte, shardFiles []string, opts Options) (p *Prepared, err error) {
+// EncodeShard bytes, in shard order. Every shard file is read and
+// checksum-verified up front, so a missing, truncated or corrupt file, or
+// one that disagrees with the core's shard table, is an error here, and the
+// returned session never touches the files again. g must hold the same
+// graph the spilled snapshot was compiled from.
+func PrepareSpilled(ctx context.Context, g *Graph, snapCore []byte, shardFiles []string) (p *Prepared, err error) {
 	defer recoverInternal(&err)
-	cp, err := core.PrepareSpilledContext(ctx, g.db, snapCore, shardFiles, opts.MemBudget)
+	cp, err := core.PrepareSpilledContext(ctx, g.db, snapCore, shardFiles)
 	if err != nil {
 		return nil, err
 	}
 	return &Prepared{g: g, prep: cp}, nil
-}
-
-// ResidencyStats is a point-in-time snapshot of the process-wide shard
-// residency counters: shards faulted in from spill files, shards evicted to
-// meet a memory budget, and pin acquisitions by phases that hold their
-// working set resident.
-type ResidencyStats struct {
-	ShardFaults    uint64
-	ShardEvictions uint64
-	ShardPins      uint64
-}
-
-// ReadResidencyStats reports the process-wide shard residency counters,
-// aggregated over every memory-budgeted snapshot lineage in the process.
-func ReadResidencyStats() ResidencyStats {
-	s := compile.ResidencyStats()
-	return ResidencyStats{ShardFaults: s.Faults, ShardEvictions: s.Evictions, ShardPins: s.Pins}
 }
