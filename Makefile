@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race test-race check bench bench-json bench-smoke experiments examples fuzz fuzz-short cover fmt vet clean
+.PHONY: all build test test-cpu race test-race check bench bench-json bench-smoke experiments examples fuzz fuzz-short cover fmt vet clean
 
 all: build test
 
@@ -12,6 +12,13 @@ build:
 test:
 	$(GO) test -timeout=5m ./...
 
+# The concurrency-sensitive packages at several GOMAXPROCS values: a panic or
+# race that only shows with real parallelism cannot hide behind a one-CPU
+# build machine.
+CPU_PKGS = ./internal/par/ ./internal/compile/ ./internal/typing/ ./internal/core/ ./internal/httpapi/ .
+test-cpu:
+	$(GO) test -cpu 1,2,4 -timeout=15m $(CPU_PKGS)
+
 # The race detector slows the heavy GFP suites ~8x; internal/core alone
 # runs close to 5 minutes, so the race leg gets double the plain timeout.
 race:
@@ -19,9 +26,9 @@ race:
 
 test-race: race
 
-# The full pre-merge gate: build, vet, tests, the race detector, and a
-# short fuzzing pass over every parser.
-check: build vet test test-race fuzz-short
+# The full pre-merge gate: build, vet, tests (also at GOMAXPROCS 1, 2 and 4),
+# the race detector, and a short fuzzing pass over every parser.
+check: build vet test test-cpu test-race fuzz-short
 
 # Regenerate the checked-in hot-path benchmark report.
 bench-json:
