@@ -15,7 +15,7 @@ test:
 # The concurrency-sensitive packages at several GOMAXPROCS values: a panic or
 # race that only shows with real parallelism cannot hide behind a one-CPU
 # build machine.
-CPU_PKGS = ./internal/par/ ./internal/compile/ ./internal/typing/ ./internal/core/ ./internal/httpapi/ .
+CPU_PKGS = ./internal/par/ ./internal/compile/ ./internal/typing/ ./internal/perfect/ ./internal/core/ ./internal/httpapi/ .
 test-cpu:
 	$(GO) test -cpu 1,2,4 -timeout=15m $(CPU_PKGS)
 

@@ -47,7 +47,8 @@ type Options struct {
 	// UseNaiveGFP selects the reference fixpoint evaluator (benchmarks).
 	UseNaiveGFP bool
 	// UseBisimulation selects bisimulation partition refinement as the
-	// Stage 1 engine (faster; refines the paper's equivalence).
+	// Stage 1 engine (refines the paper's equivalence; the default engine
+	// runs the same refinement plus one quotient fixpoint and stays exact).
 	UseBisimulation bool
 	// UseSorts distinguishes atomic targets by value sort (Remark 2.1)
 	// throughout the pipeline.

@@ -2,9 +2,10 @@
 // minimal perfect typing. One candidate type is created per complex object
 // from its local picture (program Q_D), the greatest fixpoint of Q_D groups
 // objects whose types have equal extents, and the quotient program P_D is
-// the coarsest typing with zero defect. A post-pass (§4.2) decomposes
-// conjunction types into covering simpler types, giving objects multiple
-// roles.
+// the coarsest typing with zero defect. A cold run evaluates that fixpoint
+// on the database's bisimulation quotient and expands it back (quotient.go).
+// A post-pass (§4.2) decomposes conjunction types into covering simpler
+// types, giving objects multiple roles.
 package perfect
 
 import (
@@ -91,9 +92,12 @@ type Options struct {
 	// UseBisimulation derives the Stage 1 partition by bisimulation
 	// partition refinement (internal/bisim) instead of the GFP extent
 	// quotient. Bisimulation always refines the paper's equivalence (it can
-	// only split more, never merge more) and is typically much faster; on
-	// all of this repository's datasets the two coincide. Not compatible
-	// with UseSorts/ValueLabels (the refinement works on raw labels).
+	// only split more, never merge more); on all of this repository's
+	// datasets the two coincide. The default engine already runs the same
+	// refinement and adds one greatest fixpoint over the bisimulation
+	// quotient, which keeps it exact, so this option buys no speed. Not
+	// compatible with UseSorts/ValueLabels (the refinement works on raw
+	// labels).
 	UseBisimulation bool
 }
 
@@ -372,8 +376,6 @@ func MinimalSnapWarm(snap *compile.Snapshot, opts Options, warm *Warm) (*Result,
 		if !grouped {
 			classOf, classes, grouped = bipartiteClasses(qd)
 		}
-		if grouped {
-		}
 	}
 	var qdExtent *typing.Extent // retained for Result.QDExtent on the GFP route
 	warmUsed := false
@@ -396,7 +398,7 @@ func MinimalSnapWarm(snap *compile.Snapshot, opts Options, warm *Warm) (*Result,
 			}
 		} else {
 			var err error
-			extent, err = typing.EvalGFPSnapCheck(qd, snap, workers, check)
+			extent, err = evalQDQuotient(qd, snap, opts.pictureOpts(), workers, check)
 			if err != nil {
 				return nil, err
 			}

@@ -187,8 +187,10 @@ type Options struct {
 	ValueLabels []string
 	// UseBisimulation selects bisimulation partition refinement as the
 	// Stage 1 engine. It refines the paper's extent equivalence (never
-	// coarser, typically identical) and is usually much faster on large
-	// recursive datasets. Incompatible with UseSorts/ValueLabels.
+	// coarser, typically identical). The default engine runs the same
+	// refinement plus one greatest fixpoint over the bisimulation quotient,
+	// so it is not much slower and stays exact. Incompatible with
+	// UseSorts/ValueLabels.
 	UseBisimulation bool
 	// Parallelism bounds the worker goroutines used inside each extraction
 	// stage. <= 0 (the default) uses one worker per CPU; 1 runs the exact
